@@ -152,16 +152,10 @@ def _candidates(
 
 def _p_fast(union: UnionArtifact, x: np.ndarray) -> np.ndarray:
     """Leaf-proportion probability of the fast class per row of ``x``."""
-    tree = union.tree
     out = np.empty(len(x))
-    for i, row in enumerate(np.asarray(x)):
-        node = tree.root
-        while not node.is_leaf:
-            node = (
-                node.left if row[node.feature] <= node.threshold else node.right
-            )
-        props = node.class_proportions()
-        out[i] = float(props[FAST]) if len(props) > FAST else 0.0
+    for leaf, idx in union.tree.route(x):
+        props = leaf.class_proportions()
+        out[idx] = float(props[FAST]) if len(props) > FAST else 0.0
     return out
 
 

@@ -17,6 +17,7 @@ Feature naming matches the paper's rule text:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -117,11 +118,7 @@ class FeatureExtractor:
     @staticmethod
     def _varying_columns(full: np.ndarray) -> List[int]:
         """Indices of non-constant columns (the paper drops the rest)."""
-        return [
-            j
-            for j in range(full.shape[1])
-            if not np.all(full[:, j] == full[0, j])
-        ]
+        return np.flatnonzero(np.any(full != full[0], axis=0)).tolist()
 
     def fit(self, schedules: Sequence[Schedule]) -> "FeatureExtractor":
         if not schedules:
@@ -151,25 +148,9 @@ class FeatureExtractor:
     def _raw_matrix(
         self, schedules: Sequence[Schedule], features: Sequence[Feature]
     ) -> np.ndarray:
-        mat = np.zeros((len(schedules), len(features)), dtype=np.uint8)
-        for i, s in enumerate(schedules):
-            pos = {op.name: k for k, op in enumerate(s.ops)}
-            streams = {
-                op.name: op.stream
-                for op in s.ops
-                if op.kind is OpKind.GPU
-            }
-            for j, f in enumerate(features):
-                if isinstance(f, OrderFeature):
-                    pu, pv = pos.get(f.u), pos.get(f.v)
-                    if pu is None or pv is None:
-                        raise TrainingError(
-                            f"schedule missing op for feature {f}"
-                        )
-                    mat[i, j] = 1 if pu < pv else 0
-                else:
-                    mat[i, j] = 1 if streams[f.u] == streams[f.v] else 0
-        return mat
+        """Feature values over op names; every schedule must carry every
+        op a feature names."""
+        return KeyPositions.of(schedules).matrix(features, strict=True)
 
 
 class StreamingFeatureFit:
@@ -283,6 +264,144 @@ class StreamingFeatureFit:
 KeyMapping = Mapping[str, Optional[str]]
 
 
+#: Bound an absent key's positions take: beyond any launch position.
+_FAR = np.iinfo(np.int32).max
+#: Stream of a key that has no GPU op in a schedule, or GPU ops on
+#: several streams: equal to no real stream.
+_NO_STREAM = -_FAR
+
+
+def _extremes(
+    shape: Tuple[int, int], rows: np.ndarray, cols: np.ndarray, values: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-cell min and max of ``values``; empty cells read (_FAR, -_FAR)."""
+    lo = np.full(shape, _FAR, dtype=np.int32)
+    hi = np.full(shape, -_FAR, dtype=np.int32)
+    np.minimum.at(lo, (rows, cols), values)
+    np.maximum.at(hi, (rows, cols), values)
+    return lo, hi
+
+
+@dataclass(frozen=True)
+class KeyPositions:
+    """Where each op key sits in each schedule of one set.
+
+    Every feature of the set is a gather over these arrays:
+
+    * ``u`` before ``v`` iff ``last[u] < first[v]`` (every ``u``-key op
+      launches before every ``v``-key op);
+    * ``u`` same stream as ``v`` iff ``stream[u] == stream[v]``, where a
+      key's ``stream`` is the one stream all its GPU ops sit on.
+
+    Columns follow ``keys`` (``gpu_keys`` for ``stream``), plus one
+    trailing column no schedule fills, which stands for every key the set
+    never has.  A key a schedule lacks reads ``first=-_FAR, last=_FAR``
+    and ``stream=_NO_STREAM``, so no feature over it holds there.
+    """
+
+    keys: Dict[str, int]
+    gpu_keys: Dict[str, int]
+    first: np.ndarray
+    last: np.ndarray
+    stream: np.ndarray
+
+    @classmethod
+    def of(
+        cls, schedules: Sequence[Schedule], mapping: Optional[KeyMapping] = None
+    ) -> "KeyPositions":
+        """Arrays of ``schedules`` under ``mapping`` (op name -> key; ops
+        it maps to ``None`` or lacks are left out).  Without a mapping
+        every op is keyed by its own name.  An op name stands for one
+        operation throughout the set, so whether it runs on the GPU is
+        read once per name."""
+        spans = [s.key for s in schedules]
+        lengths = np.array([len(span) for span in spans], dtype=np.intp)
+        names = [op[0] for span in spans for op in span]
+        rows = np.repeat(np.arange(len(spans), dtype=np.int32), lengths)
+        positions = np.arange(len(names), dtype=np.int32) - np.repeat(
+            (np.cumsum(lengths) - lengths).astype(np.int32), lengths
+        )
+        # Each distinct name, at its first occurrence (reversed, so the
+        # earliest index is written last).
+        first_seen = dict(zip(reversed(names), range(len(names) - 1, -1, -1)))
+        name_ids = {name: j for j, name in enumerate(first_seen)}
+        key_col = np.full(len(name_ids), -1, dtype=np.int32)
+        gpu_col = np.full(len(name_ids), -1, dtype=np.int32)
+        keys: Dict[str, int] = {}
+        gpu_keys: Dict[str, int] = {}
+        for name, i in first_seen.items():
+            key = name if mapping is None else mapping.get(name)
+            if key is None:
+                continue
+            key_col[name_ids[name]] = keys.setdefault(key, len(keys))
+            if schedules[rows[i]].ops[positions[i]].kind is OpKind.GPU:
+                gpu_col[name_ids[name]] = gpu_keys.setdefault(key, len(gpu_keys))
+        ids = np.fromiter(
+            (name_ids[name] for name in names), dtype=np.int32, count=len(names)
+        )
+        del names
+        cols = key_col[ids]
+        on = cols >= 0
+        first, last = _extremes(
+            (len(spans), len(keys) + 1), rows[on], cols[on], positions[on]
+        )
+        absent = last < first
+        first[absent], last[absent] = -_FAR, _FAR
+        streams = np.fromiter(
+            (-1 if op[1] is None else op[1] for span in spans for op in span),
+            dtype=np.int32,
+            count=len(ids),
+        )
+        cols = gpu_col[ids]
+        on = cols >= 0
+        lo, hi = _extremes(
+            (len(spans), len(gpu_keys) + 1), rows[on], cols[on], streams[on]
+        )
+        stream = np.where(lo == hi, lo, _NO_STREAM).astype(np.int32)
+        return cls(keys, gpu_keys, first, last, stream)
+
+    @property
+    def n_schedules(self) -> int:
+        return len(self.first)
+
+    def matrix(
+        self, features: Sequence[Feature], *, strict: bool = False
+    ) -> np.ndarray:
+        """(n_schedules, n_features) uint8 values of ``features``.
+
+        With ``strict``, a feature over a key some schedule lacks (for a
+        stream feature: has on no single stream) raises instead of
+        reading 0.
+        """
+        order = [j for j, f in enumerate(features) if isinstance(f, OrderFeature)]
+        stream = [j for j, f in enumerate(features) if isinstance(f, StreamFeature)]
+        out = np.zeros((self.n_schedules, len(features)), dtype=np.uint8)
+        complete = np.ones(len(features), dtype=bool)
+
+        def columns(index: Dict[str, int], picked: List[int], side: str) -> List[int]:
+            return [index.get(getattr(features[j], side), len(index)) for j in picked]
+
+        if order:
+            u = columns(self.keys, order, "u")
+            v = columns(self.keys, order, "v")
+            out[:, order] = self.last[:, u] < self.first[:, v]
+            if strict:
+                everywhere = np.all(self.first >= 0, axis=0)
+                complete[order] = everywhere[u] & everywhere[v]
+        if stream:
+            u = columns(self.gpu_keys, stream, "u")
+            v = columns(self.gpu_keys, stream, "v")
+            su = self.stream[:, u]
+            out[:, stream] = (su == self.stream[:, v]) & (su != _NO_STREAM)
+            if strict:
+                everywhere = np.all(self.stream != _NO_STREAM, axis=0)
+                complete[stream] = everywhere[u] & everywhere[v]
+        if not complete.all():
+            lacking = features[int(np.flatnonzero(~complete)[0])]
+            raise TrainingError(f"schedule missing op for feature {lacking}")
+        return out
+
+
 class MappedFeatureExtractor:
     """Feature extraction over canonical op *keys* instead of raw names.
 
@@ -314,22 +433,6 @@ class MappedFeatureExtractor:
         self._fitted = False
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _schedule_groups(
-        schedule: Schedule, mapping: KeyMapping
-    ) -> Tuple[Dict[str, List[int]], Dict[str, List[int]]]:
-        """(key -> launch positions, key -> GPU stream bindings)."""
-        order: Dict[str, List[int]] = {}
-        streams: Dict[str, List[int]] = {}
-        for i, op in enumerate(schedule.ops):
-            key = mapping.get(op.name)
-            if key is None:
-                continue
-            order.setdefault(key, []).append(i)
-            if op.kind is OpKind.GPU:
-                streams.setdefault(key, []).append(op.stream)  # type: ignore[arg-type]
-        return order, streams
-
     def fit(
         self,
         tagged: Sequence[Tuple[Sequence[Schedule], KeyMapping]],
@@ -343,23 +446,21 @@ class MappedFeatureExtractor:
         in at least ``min_sets`` sets — default ``min(2, len(tagged))``.
         Constant columns over the concatenated sets are dropped.
         """
-        if not tagged or not any(schedules for schedules, _ in tagged):
+        return self.fit_positions(
+            [KeyPositions.of(schedules, mapping) for schedules, mapping in tagged],
+            min_sets=min_sets,
+        )
+
+    def fit_positions(
+        self, sets: Sequence[KeyPositions], *, min_sets: Optional[int] = None
+    ) -> "MappedFeatureExtractor":
+        """:meth:`fit` over sets whose :class:`KeyPositions` are built."""
+        if not any(kp.n_schedules for kp in sets):
             raise TrainingError("cannot fit mapped features on zero schedules")
         if min_sets is None:
-            min_sets = min(2, len(tagged))
-        seen_in: Dict[str, int] = {}
-        gpu_seen_in: Dict[str, int] = {}
-        for schedules, mapping in tagged:
-            present: set = set()
-            gpu_present: set = set()
-            for s in schedules:
-                order, streams = self._schedule_groups(s, mapping)
-                present |= set(order)
-                gpu_present |= set(streams)
-            for key in present:
-                seen_in[key] = seen_in.get(key, 0) + 1
-            for key in gpu_present:
-                gpu_seen_in[key] = gpu_seen_in.get(key, 0) + 1
+            min_sets = min(2, len(sets))
+        seen_in = Counter(key for kp in sets for key in kp.keys)
+        gpu_seen_in = Counter(key for kp in sets for key in kp.gpu_keys)
         self.keys = tuple(
             sorted(k for k, n in seen_in.items() if n >= min_sets)
         )
@@ -372,17 +473,10 @@ class MappedFeatureExtractor:
         candidates += [
             StreamFeature(u, v) for u, v in combinations(self.gpu_keys, 2)
         ]
-        blocks = [
-            self._raw_matrix(schedules, mapping, candidates)
-            for schedules, mapping in tagged
-            if schedules
-        ]
-        full = np.concatenate(blocks, axis=0)
-        keep = [
-            j
-            for j in range(full.shape[1])
-            if not np.all(full[:, j] == full[0, j])
-        ]
+        full = np.concatenate(
+            [kp.matrix(candidates) for kp in sets if kp.n_schedules], axis=0
+        )
+        keep = FeatureExtractor._varying_columns(full)
         self.features = [candidates[j] for j in keep]
         self._fitted = True
         return self
@@ -390,32 +484,12 @@ class MappedFeatureExtractor:
     def transform(
         self, schedules: Sequence[Schedule], mapping: KeyMapping
     ) -> FeatureMatrix:
+        return self.transform_positions(KeyPositions.of(schedules, mapping))
+
+    def transform_positions(self, positions: KeyPositions) -> FeatureMatrix:
+        """:meth:`transform` of a set whose :class:`KeyPositions` are built."""
         if not self._fitted:
             raise TrainingError("extractor is not fitted")
         return FeatureMatrix(
-            matrix=self._raw_matrix(schedules, mapping, self.features),
-            features=self.features,
+            matrix=positions.matrix(self.features), features=self.features
         )
-
-    # ------------------------------------------------------------------
-    def _raw_matrix(
-        self,
-        schedules: Sequence[Schedule],
-        mapping: KeyMapping,
-        features: Sequence[Feature],
-    ) -> np.ndarray:
-        mat = np.zeros((len(schedules), len(features)), dtype=np.uint8)
-        for i, s in enumerate(schedules):
-            order, streams = self._schedule_groups(s, mapping)
-            for j, f in enumerate(features):
-                if isinstance(f, OrderFeature):
-                    us, vs = order.get(f.u), order.get(f.v)
-                    if us and vs:
-                        mat[i, j] = 1 if max(us) < min(vs) else 0
-                else:
-                    su, sv = streams.get(f.u), streams.get(f.v)
-                    if su and sv:
-                        mat[i, j] = (
-                            1 if all(a == b for a in su for b in sv) else 0
-                        )
-        return mat

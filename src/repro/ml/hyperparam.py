@@ -6,6 +6,16 @@ iteratively increased until classification error no longer shrinks" —
 ``max_depth = max_leaf_nodes - 1``.  The search keeps trying up to five
 larger sizes after each accepted size; the first improvement is accepted
 (greedy), and if none of the five improves, the search stops.
+
+Every size is read off **one** best-first growth instead of a fit per
+size.  Growth is best-first, so a fit capped at ``m`` leaves stops after
+the first ``m - 1`` splits of the uncapped growth — unless the depth cap
+stops a split first, and it cannot: a tree with ``m`` leaves is at most
+``m - 1`` deep, so until the ``m``-th leaf exists no node sits at depth
+``m - 1``.  The capped tree is therefore exactly
+:meth:`~repro.ml.tree.DecisionTree.prefix` ``(m)`` of the uncapped one —
+node ids, sizes, depth and config included — and so is its training
+error.
 """
 
 from __future__ import annotations
@@ -49,16 +59,12 @@ def search_tree_size(
     Returns the selected classifier and the evaluation trace (Figure 5).
     """
     trace = HyperparamTrace()
+    grown = DecisionTree(
+        TreeConfig(criterion=criterion, class_weight=class_weight)
+    ).fit(x, y)
 
     def train(mln: int) -> Tuple[float, DecisionTree]:
-        clf = DecisionTree(
-            TreeConfig(
-                criterion=criterion,
-                class_weight=class_weight,
-                max_leaf_nodes=mln,
-                max_depth=mln - 1,
-            )
-        ).fit(x, y)
+        clf = grown.prefix(mln)
         err = training_error(clf, x, y)
         trace.record(mln, err, clf.depth)
         return err, clf

@@ -34,20 +34,17 @@ def range_accuracy(
     within the time range of their predicted class."""
     pred = tree.predict(x_all)
     times = np.asarray(times_all, dtype=float)
-    by_label = {c.label: c for c in classes}
-    ok = 0
-    for label, t in zip(pred, times):
-        c = by_label.get(int(label))
-        if c is not None and c.contains_time(float(t)):
-            ok += 1
-    return ok / len(times) if len(times) else 0.0
+    ok = np.zeros(len(times), dtype=bool)
+    for c in {c.label: c for c in classes}.values():
+        ok |= (pred == c.label) & (c.t_min <= times) & (times <= c.t_max)
+    return int(ok.sum()) / len(times) if len(times) else 0.0
 
 
 def confusion_matrix(
     y_true: np.ndarray, y_pred: np.ndarray, n_classes: int
 ) -> np.ndarray:
     """Counts[i, j] = samples with true class i predicted as j."""
-    m = np.zeros((n_classes, n_classes), dtype=int)
-    for t, p in zip(np.asarray(y_true, int), np.asarray(y_pred, int)):
-        m[t, p] += 1
-    return m
+    cells = np.asarray(y_true, int) * n_classes + np.asarray(y_pred, int)
+    return np.bincount(cells, minlength=n_classes * n_classes).reshape(
+        n_classes, n_classes
+    )

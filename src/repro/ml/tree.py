@@ -12,19 +12,36 @@ same algorithm:
 * growth: best-first — repeatedly split the leaf with the greatest
   weighted impurity decrease — which is exactly how scikit-learn grows
   trees when ``max_leaf_nodes`` is set;
-* splits: binary tests ``x[f] <= threshold``; for the pipeline's binary
-  features the threshold is always 0.5 (left = feature 0, right = 1).
+* splits: binary tests ``x[f] <= 0.5`` over the pipeline's 0/1 features
+  (left = feature 0, right = 1); ``fit`` rejects any other value.
+
+Split search is column arithmetic over the node's rows.  Sample weights
+are constant within a class, so a side's weighted class sum is the
+sequential sum of ``k`` copies of the class weight — one lookup in a
+per-fit cumulative-sum table, bit-identical to accumulating the samples
+one by one — and per-class counts for every feature at once are integer
+sums over the node's rows.  Growth is recorded in the node ids (split
+``k`` creates nodes ``2k - 1`` and ``2k``), which is what lets
+:meth:`DecisionTree.prefix` cut the tree any smaller growth would have
+produced out of one uncapped fit.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import TrainingError
+
+#: Threshold of every split over 0/1 features.
+THRESHOLD = 0.5
+
+#: ``split(indices, parent_impurity, weighted_total)`` -> best
+#: ``(gain, feature, threshold)`` for a leaf's samples, or ``None``.
+Splitter = Callable[[np.ndarray, float, float], Optional[Tuple[float, int, float]]]
 
 
 @dataclass(frozen=True)
@@ -55,6 +72,45 @@ def _impurity(weighted_counts: np.ndarray, criterion: str) -> float:
         return float(1.0 - np.sum(p * p))
     nz = p[p > 0]
     return float(-np.sum(nz * np.log2(nz)))
+
+
+def _row_impurities(
+    wc: np.ndarray, totals: np.ndarray, criterion: str
+) -> np.ndarray:
+    """:func:`_impurity` of every row of ``wc`` (rows, classes), bit for bit.
+
+    ``wc`` must be C-contiguous with positive ``totals`` (its row sums):
+    a row-wise ``sum`` then adds in the same order as ``np.sum`` over one
+    row.  Entropy sums only the nonzero proportions, so rows are summed
+    in groups sharing one nonzero pattern, each compacted to exactly the
+    terms :func:`_impurity` adds.
+    """
+    p = wc / totals[:, None]
+    if criterion == "gini":
+        return 1.0 - (p * p).sum(axis=1)
+    nonzero = p > 0
+    terms = p * np.log2(np.where(nonzero, p, 1.0))
+    out = np.empty(len(p))
+    patterns, inverse = np.unique(nonzero, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    for k, pattern in enumerate(patterns):
+        rows = inverse == k
+        out[rows] = -terms[rows][:, pattern].sum(axis=1)
+    return out
+
+
+def _class_labels(y: np.ndarray) -> np.ndarray:
+    """``y`` as integer class labels; negative or fractional labels raise."""
+    if y.ndim != 1:
+        raise TrainingError("y must be 1-D (n_samples,)")
+    if y.dtype.kind not in "biuf":
+        raise TrainingError(f"class labels must be integers, not {y.dtype}")
+    if y.dtype.kind == "f" and not np.all(np.isfinite(y) & (y == np.round(y))):
+        raise TrainingError("class labels must be integers")
+    labels = y.astype(int)
+    if np.any(labels < 0):
+        raise TrainingError("class labels must be non-negative")
+    return labels
 
 
 class TreeNode:
@@ -130,21 +186,49 @@ class DecisionTree:
     # ------------------------------------------------------------------
     def fit(self, x: np.ndarray, y: np.ndarray) -> "DecisionTree":
         x = np.asarray(x)
-        y = np.asarray(y, dtype=int)
+        y = np.asarray(y)
         if x.ndim != 2:
             raise TrainingError("x must be 2-D (n_samples, n_features)")
         if len(x) != len(y):
             raise TrainingError("x and y length mismatch")
         if len(x) == 0:
             raise TrainingError("cannot fit on zero samples")
-        self.n_classes = int(y.max()) + 1 if len(y) else 0
+        y = _class_labels(y)
+        self._check_features(x)
+        self.n_classes = int(y.max()) + 1
         self.n_features = x.shape[1]
+        self.depth = self._next_id = self._tiebreak = 0
         weights = self._sample_weights(y)
+        split = self._splitter(x, y, weights)
 
-        self.root = self._make_node(np.arange(len(y)), y, weights, depth=0)
+        def candidate(node: TreeNode, indices: np.ndarray) -> Optional[_Candidate]:
+            max_depth = self.config.max_depth
+            if max_depth is not None and node.depth >= max_depth:
+                return None
+            if len(indices) < 2:
+                return None
+            parent_imp = _impurity(node.weighted_counts, self.config.criterion)
+            w_total = node.weighted_counts.sum()
+            if parent_imp <= 0 or w_total <= 0:
+                return None
+            best = split(indices, parent_imp, w_total)
+            if best is None:
+                return None
+            self._tiebreak += 1
+            return _Candidate(
+                neg_gain=-best[0],
+                tiebreak=self._tiebreak,
+                node=node,
+                indices=indices,
+                feature=best[1],
+                threshold=best[2],
+            )
+
+        everything = np.arange(len(y))
+        self.root = self._make_node(everything, y, weights, depth=0)
         self.n_leaves = 1
         heap: List[_Candidate] = []
-        first = self._best_split(self.root, np.arange(len(y)), x, y, weights)
+        first = candidate(self.root, everything)
         if first is not None:
             heapq.heappush(heap, first)
 
@@ -166,12 +250,16 @@ class DecisionTree:
             self.n_leaves += 1
             self.depth = max(self.depth, node.depth + 1)
             for child, cidx in ((node.left, li), (node.right, ri)):
-                nxt = self._best_split(child, cidx, x, y, weights)
+                nxt = candidate(child, cidx)
                 if nxt is not None:
                     heapq.heappush(heap, nxt)
         return self
 
     # ------------------------------------------------------------------
+    def _check_features(self, x: np.ndarray) -> None:
+        if not np.all((x == 0) | (x == 1)):
+            raise TrainingError("features must be binary (0/1)")
+
     def _sample_weights(self, y: np.ndarray) -> np.ndarray:
         if self.config.class_weight is None:
             return np.ones(len(y))
@@ -188,8 +276,9 @@ class DecisionTree:
         weights: np.ndarray,
         depth: int,
     ) -> TreeNode:
-        wc = np.zeros(self.n_classes)
-        np.add.at(wc, y[indices], weights[indices])
+        wc = np.bincount(
+            y[indices], weights=weights[indices], minlength=self.n_classes
+        )
         node = TreeNode(
             node_id=self._next_id,
             depth=depth,
@@ -199,86 +288,146 @@ class DecisionTree:
         self._next_id += 1
         return node
 
-    def _best_split(
-        self,
-        node: TreeNode,
-        indices: np.ndarray,
-        x: np.ndarray,
-        y: np.ndarray,
-        weights: np.ndarray,
-    ) -> Optional[_Candidate]:
-        """Best (feature, threshold) for this leaf, as a heap candidate."""
-        if self.config.max_depth is not None and node.depth >= self.config.max_depth:
-            return None
-        if len(indices) < 2:
-            return None
+    def _splitter(
+        self, x: np.ndarray, y: np.ndarray, weights: np.ndarray
+    ) -> Splitter:
+        """Best binary split of a leaf, searched over all features at once.
+
+        Every sample of class ``c`` weighs ``class_w[c]``, so a side
+        holding ``k`` of them weighs ``sums[c, k]``: ``k`` copies added
+        one at a time, as accumulating the samples would.  Ties between
+        features go to the lowest index unless a later gain beats the
+        best by more than ``1e-15``.
+        """
         crit = self.config.criterion
-        parent_imp = _impurity(node.weighted_counts, crit)
-        w_total = node.weighted_counts.sum()
-        if parent_imp <= 0 or w_total <= 0:
-            return None
-        best_gain = -1.0
-        best: Optional[Tuple[int, float]] = None
-        xv = x[indices]
-        yv = y[indices]
-        wv = weights[indices]
-        for f in range(self.n_features):
-            col = xv[:, f]
-            values = np.unique(col)
-            if len(values) < 2:
-                continue
-            thresholds = (values[:-1] + values[1:]) / 2.0
-            for thr in thresholds:
-                mask = col <= thr
-                wl = np.zeros(self.n_classes)
-                wr = np.zeros(self.n_classes)
-                np.add.at(wl, yv[mask], wv[mask])
-                np.add.at(wr, yv[~mask], wv[~mask])
-                sl, sr = wl.sum(), wr.sum()
-                if sl <= 0 or sr <= 0:
-                    continue
-                child_imp = (
-                    sl * _impurity(wl, crit) + sr * _impurity(wr, crit)
-                ) / w_total
-                gain = (w_total / w_total) * (parent_imp - child_imp)
-                if gain > best_gain + 1e-15:
-                    best_gain = gain
-                    best = (f, float(thr))
-        if best is None:
-            return None
-        self._tiebreak += 1
-        return _Candidate(
-            neg_gain=-best_gain,
-            tiebreak=self._tiebreak,
-            node=node,
-            indices=indices,
-            feature=best[0],
-            threshold=best[1],
+        xb = x.astype(np.uint8, copy=False)
+        classes = np.arange(self.n_classes)
+        class_w = np.zeros(self.n_classes)
+        class_w[y] = weights
+        sums = np.zeros((self.n_classes, len(y) + 1))
+        np.cumsum(
+            np.broadcast_to(class_w[:, None], (self.n_classes, len(y))),
+            axis=1,
+            out=sums[:, 1:],
         )
 
+        def split(
+            indices: np.ndarray, parent_imp: float, w_total: float
+        ) -> Optional[Tuple[float, int, float]]:
+            xv = xb[indices]
+            yv = y[indices]
+            # (features, classes): samples with the feature at 1 / at 0.
+            n_right = np.stack(
+                [xv[yv == c].sum(axis=0, dtype=np.intp) for c in classes],
+                axis=1,
+            )
+            n_left = np.bincount(yv, minlength=self.n_classes) - n_right
+            wl = sums[classes, n_left]
+            wr = sums[classes, n_right]
+            sl = wl.sum(axis=1)
+            sr = wr.sum(axis=1)
+            valid = np.flatnonzero((sl > 0) & (sr > 0))
+            if not len(valid):
+                return None
+            sl, sr = sl[valid], sr[valid]
+            child_imp = (
+                sl * _row_impurities(wl[valid], sl, crit)
+                + sr * _row_impurities(wr[valid], sr, crit)
+            ) / w_total
+            best_gain = -1.0
+            best = -1
+            for f, gain in zip(valid.tolist(), (parent_imp - child_imp).tolist()):
+                if gain > best_gain + 1e-15:
+                    best_gain, best = gain, f
+            return best_gain, best, THRESHOLD
+
+        return split
+
     # ------------------------------------------------------------------
-    def predict(self, x: np.ndarray) -> np.ndarray:
+    def prefix(self, max_leaf_nodes: int) -> "DecisionTree":
+        """The tree a fit capped at ``max_leaf_nodes`` would grow.
+
+        That tree is this growth's root plus its first
+        ``max_leaf_nodes - 1`` splits — node ids, sizes, depth and all —
+        with ``max_leaf_nodes`` and ``max_depth = max_leaf_nodes - 1`` in
+        its config.  A tree with ``m`` leaves has depth at most ``m - 1``,
+        so that depth cap never stops a split the leaf cap allows.  Needs
+        a growth without a depth cap that reached at least that many
+        leaves (or stopped on its own).
+        """
+        if self.root is None:
+            raise TrainingError("tree is not fitted")
+        cap = self.config.max_leaf_nodes
+        if self.config.max_depth is not None or (
+            cap is not None and cap < max_leaf_nodes
+        ):
+            raise TrainingError(
+                f"cannot cut {max_leaf_nodes} leaves from a growth capped at "
+                f"max_leaf_nodes={cap}, max_depth={self.config.max_depth}"
+            )
+        tree = DecisionTree(
+            replace(
+                self.config,
+                max_leaf_nodes=max_leaf_nodes,
+                max_depth=max_leaf_nodes - 1,
+            )
+        )
+        last_id = 2 * (max_leaf_nodes - 1)
+
+        def cut(node: TreeNode) -> TreeNode:
+            out = TreeNode(
+                node.node_id, node.depth, node.n_samples, node.weighted_counts
+            )
+            if not node.is_leaf and node.right.node_id <= last_id:
+                out.feature = node.feature
+                out.threshold = node.threshold
+                out.left = cut(node.left)
+                out.right = cut(node.right)
+                tree.n_leaves += 1
+                tree.depth = max(tree.depth, node.depth + 1)
+            return out
+
+        tree.n_leaves = 1
+        tree.root = cut(self.root)
+        tree.n_classes = self.n_classes
+        tree.n_features = self.n_features
+        tree._next_id = 2 * tree.n_leaves - 1
+        return tree
+
+    # ------------------------------------------------------------------
+    def route(self, x: np.ndarray) -> List[Tuple[TreeNode, np.ndarray]]:
+        """Each leaf some row of ``x`` reaches, with those rows' indices.
+
+        Index arrays go down the tree one node at a time, split by the
+        node's test.
+        """
         if self.root is None:
             raise TrainingError("tree is not fitted")
         x = np.asarray(x)
+        out: List[Tuple[TreeNode, np.ndarray]] = []
+        stack = [(self.root, np.arange(len(x)))]
+        while stack:
+            node, idx = stack.pop()
+            if node.is_leaf:
+                out.append((node, idx))
+                continue
+            go_left = x[idx, node.feature] <= node.threshold
+            for child, cidx in ((node.right, idx[~go_left]), (node.left, idx[go_left])):
+                if len(cidx):
+                    stack.append((child, cidx))
+        return out
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
         out = np.empty(len(x), dtype=int)
-        for i, row in enumerate(x):
-            node = self.root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.predicted_class
+        for leaf, idx in self.route(x):
+            out[idx] = leaf.predicted_class
         return out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Leaf node id for each sample."""
-        if self.root is None:
-            raise TrainingError("tree is not fitted")
         out = np.empty(len(x), dtype=int)
-        for i, row in enumerate(np.asarray(x)):
-            node = self.root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.node_id
+        for leaf, idx in self.route(x):
+            out[idx] = leaf.node_id
         return out
 
     # ------------------------------------------------------------------

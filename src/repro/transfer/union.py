@@ -21,12 +21,13 @@ of the paper's Table V.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import TrainingError
-from repro.ml.features import MappedFeatureExtractor
+from repro.ml.features import KeyPositions, MappedFeatureExtractor
 from repro.ml.hyperparam import search_tree_size
 from repro.ml.tree import DecisionTree
 from repro.schedule.schedule import Schedule
@@ -47,9 +48,15 @@ class UnionWorkload:
     #: Op name -> structural signature (from program_signatures).
     signatures: Dict[str, OpSignature]
 
-    @property
+    @cached_property
     def key_mapping(self) -> Dict[str, str]:
         return {name: sig.key for name, sig in self.signatures.items()}
+
+    @cached_property
+    def positions(self) -> KeyPositions:
+        """Key positions of ``schedules``, built once and shared by every
+        fold that featurizes this workload; they live as long as it does."""
+        return KeyPositions.of(self.schedules, self.key_mapping)
 
 
 def binary_labels(class_labels: Sequence[int]) -> np.ndarray:
@@ -84,7 +91,7 @@ def _accuracy(
     extractor: MappedFeatureExtractor,
     wl: UnionWorkload,
 ) -> float:
-    x = extractor.transform(wl.schedules, wl.key_mapping).matrix
+    x = extractor.transform_positions(wl.positions).matrix
     pred = tree.predict(x)
     return float(np.mean(pred == wl.labels))
 
@@ -110,15 +117,15 @@ def train_union(
     if len(train) < 2:
         raise TrainingError("union training needs at least two workloads")
 
-    extractor = MappedFeatureExtractor().fit(
-        [(w.schedules, w.key_mapping) for w in train]
+    extractor = MappedFeatureExtractor().fit_positions(
+        [w.positions for w in train]
     )
     if not extractor.features:
         raise TrainingError(
             "no shared, non-constant signature features across the union"
         )
     x = np.concatenate(
-        [extractor.transform(w.schedules, w.key_mapping).matrix for w in train]
+        [extractor.transform_positions(w.positions).matrix for w in train]
     )
     y = np.concatenate([np.asarray(w.labels, dtype=int) for w in train])
     tree, _ = search_tree_size(x, y, criterion=criterion)

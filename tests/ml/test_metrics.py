@@ -1,6 +1,7 @@
 """Tests for evaluation metrics."""
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from repro.ml.labeling import ClassInfo
 from repro.ml.metrics import confusion_matrix, range_accuracy, training_error
@@ -60,3 +61,33 @@ class TestConfusion:
             np.array([0, 0, 1, 1]), np.array([0, 1, 1, 1]), 2
         )
         assert m.tolist() == [[1, 1], [0, 2]]
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=40))
+    @settings(max_examples=50, deadline=None)
+    def test_counts_every_pair(self, pairs):
+        y_true = np.array([t for t, _ in pairs], dtype=int)
+        y_pred = np.array([p for _, p in pairs], dtype=int)
+        expected = np.zeros((4, 4), dtype=int)
+        for t, p in pairs:
+            expected[t, p] += 1
+        m = confusion_matrix(y_true, y_pred, 4)
+        assert m.dtype == expected.dtype
+        assert m.tolist() == expected.tolist()
+
+
+class TestRangeAccuracyCases:
+    def test_prediction_without_class_counts_wrong(self):
+        t, x, _ = fitted_tree()
+        # Class 1 has no range: samples predicted 1 are never accurate.
+        classes = [ClassInfo(label=0, start=0, stop=2, t_min=1.0, t_max=2.0)]
+        times = np.array([1.0, 2.0, 3.5, 3.9])
+        assert range_accuracy(t, x, times, classes) == 0.5
+
+    def test_range_bounds_inclusive_nan_never(self):
+        t, x, _ = fitted_tree()
+        classes = [
+            ClassInfo(label=0, start=0, stop=2, t_min=1.0, t_max=2.0),
+            ClassInfo(label=1, start=2, stop=4, t_min=3.0, t_max=4.0),
+        ]
+        times = np.array([1.0, np.nan, 4.0, 4.0000001])
+        assert range_accuracy(t, x, times, classes) == 0.5

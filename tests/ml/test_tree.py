@@ -84,13 +84,39 @@ class TestFitPredict:
         with pytest.raises(TrainingError):
             DecisionTree().fit(np.zeros((0, 1)), np.zeros(0))
 
-    def test_numeric_threshold_split(self):
-        """Non-binary features split at value midpoints."""
+    def test_non_binary_features_rejected(self):
+        """Splits are ``x[f] <= 0.5`` over 0/1 features; anything else
+        would need thresholds the column search does not consider."""
         x = np.array([[1.0], [2.0], [10.0], [11.0]])
         y = np.array([0, 0, 1, 1])
-        t = DecisionTree().fit(x, y)
-        assert t.predict(np.array([[5.0]])).tolist() == [0]
-        assert t.predict(np.array([[9.0]])).tolist() == [1]
+        with pytest.raises(TrainingError, match="binary"):
+            DecisionTree().fit(x, y)
+
+    def test_bool_and_float_binary_features_accepted(self):
+        y = np.array([0, 0, 1, 1])
+        ref = DecisionTree().fit(np.array([[0], [0], [1], [1]], np.uint8), y)
+        for dtype in (bool, float):
+            x = np.array([[0], [0], [1], [1]], dtype=dtype)
+            assert DecisionTree().fit(x, y).to_dict() == ref.to_dict()
+
+    @pytest.mark.parametrize("class_weight", ["balanced", None])
+    def test_negative_labels_rejected(self, class_weight):
+        tree = DecisionTree(TreeConfig(class_weight=class_weight))
+        with pytest.raises(TrainingError, match="non-negative"):
+            tree.fit(np.array([[0], [1], [1]]), np.array([-1, 0, 0]))
+
+    @pytest.mark.parametrize("class_weight", ["balanced", None])
+    def test_fractional_labels_rejected(self, class_weight):
+        tree = DecisionTree(TreeConfig(class_weight=class_weight))
+        with pytest.raises(TrainingError, match="integers"):
+            tree.fit(np.array([[0], [1], [1]]), np.array([0.5, 0.0, 1.0]))
+        with pytest.raises(TrainingError, match="integers"):
+            tree.fit(np.array([[0], [1]]), np.array(["a", "b"]))
+
+    def test_integral_float_labels_accepted(self):
+        x = np.array([[0], [0], [1], [1]], dtype=np.uint8)
+        t = DecisionTree().fit(x, np.array([0.0, 0.0, 1.0, 1.0]))
+        assert t.predict(x).tolist() == [0, 0, 1, 1]
 
 
 class TestBalancedWeights:
