@@ -87,12 +87,17 @@ class SerialEvaluator(Evaluator):
       one schedule at a time.  Every other backend must agree with it
       bit-for-bit.
     * ``"batch"`` — the compiled array-replay backend
-      (:mod:`repro.sim.batch`); schedules its compiled context cannot
-      replay fall back to the reference engine per schedule, counted in
+      (:mod:`repro.sim.batch`), MPI programs included; only malformed
+      schedules and rows whose NIC-channel order replay cannot prove fall
+      back to the reference engine per schedule, counted in
       ``sim.fallbacks``.
     * ``"auto"`` — ``"batch"`` when the program compiles cleanly,
       ``"reference"`` otherwise.  :func:`repro.exec.parallel
       .build_evaluator` defaults to this.
+
+    Executors that collect a trace or run payloads always use the
+    reference engine; every evaluator that resolves to it is counted in
+    ``sim.resolved_reference``.
 
     The compiled context is built once here and reused across every
     batch and block this evaluator measures.  An optional
@@ -120,7 +125,11 @@ class SerialEvaluator(Evaluator):
             benchmarker.config,
             sample_offset=benchmarker.sample_offset,
             needs_reference=(
-                executor.collect_trace or executor.payload_init is not None
+                "trace"
+                if executor.collect_trace
+                else "payload"
+                if executor.payload_init is not None
+                else False
             ),
         )
         self.sim_backend, self._compiled = resolved

@@ -31,7 +31,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.dag.program import Program
@@ -80,19 +80,23 @@ def _measure_one(schedule: Schedule) -> Measurement:
     return _WORKER_BENCH.measure(schedule)
 
 
-def _measure_chunk(schedules: List[Schedule]) -> List[Measurement]:
+def _measure_chunk(
+    schedules: List[Schedule],
+) -> Tuple[List[Measurement], int, int]:
     """Measure one dispatched chunk with the worker's warm state.
 
     Chunks (not single schedules) are the dispatch unit so the replay
-    backend gets a real batch dimension per sweep.
+    backend gets a real batch dimension per sweep.  Returns ``(results,
+    n_replayed, n_fallbacks)``: only replay knows which rows it had to
+    send to the reference engine, and this worker's obs counters are
+    never shipped home, so the parent counts them.
     """
     assert _WORKER_BENCH is not None, "worker pool not initialized"
     if _WORKER_REPLAYER is not None:
-        results, _, _ = _WORKER_REPLAYER.measure_into(
+        return _WORKER_REPLAYER.measure_into(
             _WORKER_BENCH, schedules, backend="batch"
         )
-        return results
-    return [_WORKER_BENCH.measure(s) for s in schedules]
+    return [_WORKER_BENCH.measure(s) for s in schedules], 0, 0
 
 
 def _worker_compile_stats(_: object = None) -> tuple:
@@ -178,10 +182,11 @@ class ParallelEvaluator(Evaluator):
         each batch roughly four tasks per worker.
     sim_backend:
         ``"reference"`` (default), ``"batch"``, or ``"auto"``.  The
-        parent resolves ``"auto"`` with its own compiled context (also
-        used for metrics accounting, since worker registries are never
-        shipped home) and each worker then compiles its replay context
-        exactly once, in the pool initializer.
+        parent resolves ``"auto"`` by compiling the context once, and
+        each worker then compiles its replay context exactly once, in
+        the pool initializer.  Workers return their replay and fallback
+        counts with each chunk, since worker registries are never
+        shipped home.
     """
 
     def __init__(
@@ -210,7 +215,7 @@ class ParallelEvaluator(Evaluator):
             start_method = "fork" if "fork" in methods else methods[0]
         self.start_method = start_method
         self.chunksize = chunksize
-        self.sim_backend, self._compiled = resolve_backend(
+        self.sim_backend, _ = resolve_backend(
             sim_backend, program, machine, config, sample_offset=sample_offset
         )
         self._context = context_fingerprint(program, machine, config, sample_offset)
@@ -264,17 +269,6 @@ class ParallelEvaluator(Evaluator):
                     self._memo[fp] = m
                     del pending[fp]
             if pending:
-                if self._compiled is not None:
-                    # Workers do the replaying, but their metrics
-                    # registries are never shipped home — count the
-                    # partition here, where the snapshot lives.
-                    n_replayed = sum(
-                        1 for s in pending.values() if self._compiled.supports(s)
-                    )
-                    if n_replayed:
-                        obs.add("sim.batch_replays", n_replayed)
-                    if len(pending) - n_replayed:
-                        obs.add("sim.fallbacks", len(pending) - n_replayed)
                 fresh = self._dispatch(list(pending.values()))
                 if self.cache is not None:
                     self.cache.put_many(self._context, fresh.items())
@@ -290,7 +284,18 @@ class ParallelEvaluator(Evaluator):
             schedules[i : i + chunksize]
             for i in range(0, len(schedules), chunksize)
         ]
-        results = [m for chunk in pool.map(_measure_chunk, chunks) for m in chunk]
+        results: List[Measurement] = []
+        n_replayed = n_fallbacks = 0
+        for chunk, replayed, fallbacks in pool.map(_measure_chunk, chunks):
+            results.extend(chunk)
+            n_replayed += replayed
+            n_fallbacks += fallbacks
+        # Workers do the replaying, but their metrics registries are
+        # never shipped home — count here, where the snapshot lives.
+        if n_replayed:
+            obs.add("sim.batch_replays", n_replayed)
+        if n_fallbacks:
+            obs.add("sim.fallbacks", n_fallbacks)
         fresh: Dict[str, Measurement] = {}
         for schedule, m in zip(schedules, results):
             fresh[schedule.fingerprint()] = m

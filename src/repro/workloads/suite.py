@@ -469,6 +469,9 @@ class SuiteRunner:
                     "backend": self.sim_backend,
                     "batch_replays": int(delta.counter("sim.batch_replays")),
                     "fallbacks": int(delta.counter("sim.fallbacks")),
+                    "resolved_reference": int(
+                        delta.counter("sim.resolved_reference")
+                    ),
                     "compiled_contexts": int(
                         delta.counter("sim.compiled_contexts")
                     ),

@@ -177,7 +177,9 @@ def test_search_progress_requires_exhaustive():
         main(SEARCH_ARGV + ["--strategy", "random", "--progress"])
 
 
-def test_suite_progress_counts_tasks(capsys):
+def test_suite_progress_counts_tasks(capsys, monkeypatch, tmp_path):
+    # Without --json the suite writes repro-suite-smoke.json to the cwd.
+    monkeypatch.chdir(tmp_path)
     assert main(["suite", "smoke", "--progress"]) == 0
     err = capsys.readouterr().err
     lines = [line for line in err.splitlines() if line.startswith("suite smoke")]
